@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench gateway-snapshot routing-snapshot routing-smoke fairness-snapshot fairness-smoke keylocality-snapshot keylocality-smoke autoscale-snapshot autoscale-smoke hol-snapshot hol-smoke chaos-snapshot chaos-smoke frontier-snapshot frontier-smoke rollout-snapshot rollout-smoke obstax-snapshot obstax-smoke clean
+.PHONY: all build vet test race bench gateway-snapshot routing-snapshot routing-smoke fairness-snapshot fairness-smoke keylocality-snapshot keylocality-smoke autoscale-snapshot autoscale-smoke hol-snapshot hol-smoke chaos-snapshot chaos-smoke frontier-snapshot frontier-smoke rollout-snapshot rollout-smoke obstax-snapshot obstax-smoke perfbench-test clean
 
 all: build vet test
 
@@ -102,6 +102,13 @@ rollout-smoke:
 # gate on the "tracing is cheap" claim behind BENCH_obstax.json.
 obstax-smoke:
 	$(GO) run ./cmd/sesemi-bench -exp obstax -smoke
+
+# The benchmark (perfbench/) is its own Go module, which the root
+# `go test ./...` does not see: run its tests (schedule determinism, a tiny
+# run of each workload, wrong-answer detection), so a change to a seam the
+# benchmark wraps cannot silently break it.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 clean:
 	$(GO) clean ./...

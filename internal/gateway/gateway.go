@@ -1258,12 +1258,14 @@ func (g *Gateway) dispatch(q *queue, batch []*pending, home string) {
 	servedOn := home
 	var retry []*pending
 	var sink *obs.Sink
-	ictx := g.ctx
+	// The model is the placement affinity: the cluster keeps claiming the
+	// sandbox whose enclave already holds it.
+	ictx := serverless.WithAffinity(g.ctx, q.model)
 	if traced {
 		// Placement-layer spans (cold starts) recorded during the invoke
 		// arrive here, to be grafted into every retained member trace.
 		sink = &obs.Sink{}
-		ictx = obs.NewContext(g.ctx, sink)
+		ictx = obs.NewContext(ictx, sink)
 	}
 	invokeStart := time.Now()
 	invokeEnd := invokeStart

@@ -8,6 +8,7 @@ import (
 
 	"sesemi/internal/obs"
 	"sesemi/internal/semirt"
+	"sesemi/internal/serverless"
 )
 
 // Continuous batching dispatch: dispatchSession replaces dispatch's
@@ -43,17 +44,18 @@ func newSessMember(p *pending, now time.Time) *sessMember {
 	return &sessMember{p: p, tenant: p.tenant, enq: p.enq, sent: now, steps: p.req.StepsDone}
 }
 
-// openSessionSafe opens a pinned session with panics recovered, like
+// openSessionSafe opens a pinned session for the queue's model — its
+// placement affinity, as in dispatch — with panics recovered, like
 // invokeBatch: a panicking backend yields ErrBackendPanic (retryable), never
 // a dead dispatch goroutine.
-func (g *Gateway) openSessionSafe(action, home string) (sess InvokeSession, err error) {
+func (g *Gateway) openSessionSafe(q *queue, home string) (sess InvokeSession, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			g.panics.Add(1)
 			sess, err = nil, fmt.Errorf("%w: %v", ErrBackendPanic, r)
 		}
 	}()
-	return g.sess.OpenSession(g.ctx, action, home)
+	return g.sess.OpenSession(serverless.WithAffinity(g.ctx, q.model), q.action, home)
 }
 
 // stepSafe delivers one step frame with panics recovered.
@@ -148,7 +150,7 @@ func (g *Gateway) dispatchSession(q *queue, home string) {
 		return batch
 	}
 
-	sess, frameErr := g.openSessionSafe(q.action, home)
+	sess, frameErr := g.openSessionSafe(q, home)
 	if frameErr != nil {
 		// The session never opened: claim the members this spawn was sized
 		// for and register them so the common strand-fail path below answers

@@ -98,6 +98,35 @@ func TestWindowsAndCounters(t *testing.T) {
 	}
 }
 
+// TestWindowBoundedWithoutTakeWindow: with no controller draining the
+// windows (a fixed canary weight), a million observations must retain at
+// most windowSamples latencies while the mean stays exact and the reservoir
+// p95 stays close to the true one.
+func TestWindowBoundedWithoutTakeWindow(t *testing.T) {
+	s := NewSplitter("m")
+	const n = 1_000_000
+	for i := 0; i < n; i++ {
+		// 1..1000 µs, cycling: true mean 500.5 µs, true p95 950 µs.
+		s.Observe("m", time.Duration(i%1000+1)*time.Microsecond, false)
+	}
+	s.mu.Lock()
+	retained := len(s.windows["m"].samples)
+	s.mu.Unlock()
+	if retained > windowSamples {
+		t.Fatalf("window retains %d samples, cap %d", retained, windowSamples)
+	}
+	w := s.TakeWindow("m")
+	if w.Count != n {
+		t.Fatalf("count = %d, want %d", w.Count, n)
+	}
+	if want := 500500 * time.Nanosecond; w.Mean != want {
+		t.Fatalf("mean = %v, want %v (exact running sum)", w.Mean, want)
+	}
+	if w.P95 < 900*time.Microsecond || w.P95 > 1000*time.Microsecond {
+		t.Fatalf("reservoir p95 = %v, want ~950µs", w.P95)
+	}
+}
+
 func TestEvaluate(t *testing.T) {
 	slo := SLO{MaxErrorRate: 0.05, MaxLatencyRatio: 2, MaxP95: 100 * time.Millisecond}
 	ok := WindowStats{Count: 50, Mean: 10 * time.Millisecond, P95: 20 * time.Millisecond}

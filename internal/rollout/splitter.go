@@ -61,11 +61,42 @@ type Splitter struct {
 	errored  map[string]uint64
 }
 
+// windowSamples caps the latencies one revision window retains for its p95.
+// Without a controller nothing calls TakeWindow (loadgen's fixed
+// -canary-weight), so an unbounded window would grow for the whole run.
+const windowSamples = 1024
+
 // window is one revision's SLO observation window since the last snapshot.
+// The mean is exact (a running sum); the p95 comes from a uniform reservoir
+// of at most windowSamples successful latencies (Vitter's Algorithm R),
+// exact while the window holds fewer.
 type window struct {
-	lat    metrics.Latency
-	count  int
-	errors int
+	samples []time.Duration
+	sum     time.Duration
+	ok      int    // successful latencies observed (the reservoir's stream)
+	rng     uint64 // splitmix64 state for reservoir replacement
+	count   int
+	errors  int
+}
+
+// observe folds one successful latency into the window.
+func (w *window) observe(d time.Duration) {
+	w.ok++
+	w.sum += d
+	if len(w.samples) < windowSamples {
+		w.samples = append(w.samples, d)
+		return
+	}
+	// Keep the ok-th sample with probability windowSamples/ok, replacing a
+	// uniformly chosen resident.
+	w.rng += 0x9e3779b97f4a7c15
+	z := w.rng
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	if j := z % uint64(w.ok); j < windowSamples {
+		w.samples[j] = d
+	}
 }
 
 // WindowStats is one revision's observation window, snapshotted for an SLO
@@ -249,7 +280,7 @@ func (s *Splitter) Observe(modelID string, d time.Duration, failed bool) {
 		w.errors++
 		s.errored[modelID]++
 	} else {
-		w.lat.Add(d)
+		w.observe(d)
 	}
 	s.mu.Unlock()
 }
@@ -264,12 +295,16 @@ func (s *Splitter) TakeWindow(modelID string) WindowStats {
 	if w == nil {
 		return WindowStats{}
 	}
-	return WindowStats{
-		Count:  w.count,
-		Errors: w.errors,
-		Mean:   w.lat.Mean(),
-		P95:    w.lat.Percentile(95),
+	ws := WindowStats{Count: w.count, Errors: w.errors}
+	if w.ok > 0 {
+		var lat metrics.Latency
+		for _, d := range w.samples {
+			lat.Add(d)
+		}
+		ws.Mean = w.sum / time.Duration(w.ok)
+		ws.P95 = lat.Percentile(95)
 	}
+	return ws
 }
 
 // Served returns the revision's cumulative completed-request count (errors

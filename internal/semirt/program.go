@@ -41,6 +41,9 @@ type program struct {
 	// fetches counts KeyService Provision calls; wired to the runtime's
 	// counter so Stats can report the key-fetch volume a cache saves.
 	fetches *atomic.Uint64
+	// loads counts successful model loads, wired to the runtime's counter
+	// like fetches.
+	loads *atomic.Uint64
 
 	// sessMu guards the cached RA-TLS sessions, one per KeyService address
 	// ("" is the deployment default). Caching per address lets one enclave
@@ -82,7 +85,7 @@ type invocationDetail struct {
 
 func newProgram(cfg Config, fw inference.Framework, deps Deps) *program {
 	p := &program{cfg: cfg, fw: fw, deps: deps, sessions: map[string]*keyservice.Session{},
-		fetches: &atomic.Uint64{}}
+		fetches: &atomic.Uint64{}, loads: &atomic.Uint64{}}
 	if size := cfg.EffectiveKeyCacheSize(); size > 0 {
 		p.keys = newKeyCache(size)
 	}
@@ -435,6 +438,7 @@ func (p *program) loadModel(modelID string, km secure.Key) error {
 	}
 	p.modelID = modelID
 	p.loaded = loaded
+	p.loads.Add(1)
 	// Invalidate thread-local runtimes built for the previous model: they
 	// are rebuilt lazily per slot (slot.modelID no longer matches).
 	return nil

@@ -152,6 +152,10 @@ type Stats struct {
 	// multi-user stream fetches once per principal; with the single-pair
 	// cache it fetched once per user flip).
 	KeyFetches uint64
+	// ModelLoads counts successful model loads (fetch, decrypt,
+	// deserialize), cold loads included. Warm lumps model swaps together
+	// with key refetches; this separates the swaps out.
+	ModelLoads uint64
 	// SessionSteps counts continuous-session scheduling frames (one enclave
 	// entry each) — the step-loop volume costmodel.SchedulingOverhead prices.
 	SessionSteps uint64
@@ -174,9 +178,10 @@ type Runtime struct {
 	stopped bool
 
 	cold, warm, hot atomic.Uint64
-	// keyFetches outlives the program (Stop nils it), so the counter keeps
-	// reporting after shutdown.
+	// keyFetches and modelLoads outlive the program (Stop nils it), so the
+	// counters keep reporting after shutdown.
 	keyFetches atomic.Uint64
+	modelLoads atomic.Uint64
 	// sessionSteps / preempted mirror Stats: continuous-session frames
 	// executed and members preempted at step boundaries.
 	sessionSteps atomic.Uint64
@@ -236,6 +241,7 @@ func (r *Runtime) ensureEnclave() (bool, error) {
 	}
 	prog := newProgram(r.cfg, r.fw, r.deps)
 	prog.fetches = &r.keyFetches
+	prog.loads = &r.modelLoads
 	enc, err := r.deps.Platform.Launch(r.cfg.Manifest(), prog)
 	if err != nil {
 		return false, fmt.Errorf("semirt: launch: %w", err)
@@ -322,6 +328,7 @@ func (r *Runtime) Handle(req Request) (Response, error) {
 func (r *Runtime) Stats() Stats {
 	return Stats{Cold: r.cold.Load(), Warm: r.warm.Load(), Hot: r.hot.Load(),
 		KeyFetches:   r.keyFetches.Load(),
+		ModelLoads:   r.modelLoads.Load(),
 		SessionSteps: r.sessionSteps.Load(),
 		Preempted:    r.preempted.Load()}
 }
@@ -343,6 +350,8 @@ func (r *Runtime) RegisterMetrics(reg *obs.Registry, labels obs.Labels) {
 		func() float64 { return float64(r.hot.Load()) })
 	reg.CounterFunc("sesemi_semirt_key_fetches_total", "KeyService provisioning round trips.", labels,
 		func() float64 { return float64(r.keyFetches.Load()) })
+	reg.CounterFunc("sesemi_semirt_model_loads_total", "Models loaded into the enclave (cold loads and swaps).", labels,
+		func() float64 { return float64(r.modelLoads.Load()) })
 	reg.CounterFunc("sesemi_semirt_session_steps_total", "Continuous-session scheduling frames executed.", labels,
 		func() float64 { return float64(r.sessionSteps.Load()) })
 	reg.CounterFunc("sesemi_semirt_preempted_total", "Members evicted at a step boundary.", labels,

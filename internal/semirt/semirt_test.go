@@ -1,6 +1,7 @@
 package semirt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -16,6 +17,7 @@ import (
 	_ "sesemi/internal/inference/tinytvm"
 	"sesemi/internal/keyservice"
 	"sesemi/internal/model"
+	"sesemi/internal/obs"
 	"sesemi/internal/secure"
 	"sesemi/internal/storage"
 	"sesemi/internal/tensor"
@@ -284,6 +286,56 @@ func TestColdWarmHotClassification(t *testing.T) {
 	st := rt.Stats()
 	if st.Cold != 1 || st.Warm != 1 || st.Hot != 1 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestModelLoadsCountsSwaps: ModelLoads counts every model installed into
+// the enclave — the cold load and each swap — but not hot requests, and not
+// a new user's key fetch on the already-loaded model (which Warm lumps in).
+func TestModelLoadsCountsSwaps(t *testing.T) {
+	w := newWorld(t)
+	cfg := mustConfig(t, "tvm", "mbnet", 2)
+	rt, err := New(cfg, w.deps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	w.deployModel("mbnet", rt.Measurement())
+	w.deployModel("dsnet", rt.Measurement())
+	u := w.newUser("model-loads-user")
+	w.grantUser(u, "mbnet", rt.Measurement())
+
+	steps := []struct {
+		req   Request
+		loads uint64
+	}{
+		{w.requestFor("mbnet", 1), 1},   // cold load
+		{w.requestFor("mbnet", 2), 1},   // hot
+		{w.requestFor("dsnet", 3), 2},   // swap
+		{w.requestFor("dsnet", 4), 2},   // hot
+		{w.requestFor("mbnet", 5), 3},   // swap back
+		{w.requestAs(u, "mbnet", 6), 3}, // key fetch only
+	}
+	for i, s := range steps {
+		if _, err := rt.Handle(s.req); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if got := rt.Stats().ModelLoads; got != s.loads {
+			t.Fatalf("step %d: ModelLoads = %d, want %d", i, got, s.loads)
+		}
+	}
+	if st := rt.Stats(); st.Warm != 3 {
+		t.Fatalf("Warm = %d, want 3 (two swaps + one key fetch)", st.Warm)
+	}
+
+	reg := obs.NewRegistry()
+	rt.RegisterMetrics(reg, nil)
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "sesemi_semirt_model_loads_total 3") {
+		t.Fatalf("exposition lacks the model-load counter:\n%s", buf.String())
 	}
 }
 

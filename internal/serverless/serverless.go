@@ -8,6 +8,9 @@
 //   - memory-only scheduling: a sandbox occupies its action's configured
 //     memory budget on a node; nodes have an invoker memory limit;
 //   - placement prefers a node that already hosts sandboxes of the action;
+//   - unlike OpenWhisk's model-agnostic proxy, a claim carrying an affinity
+//     key (WithAffinity: the model) prefers the sandbox that last served
+//     that key, so models keep their warm enclaves (§IV-C);
 //   - keep-warm: idle sandboxes linger for a configurable timeout
 //     (3 minutes in the paper) before being reclaimed;
 //   - per-sandbox concurrency: an action may allow multiple in-flight
@@ -51,6 +54,24 @@ type Instance interface {
 	Invoke(payload []byte) ([]byte, error)
 	// Stop releases the instance's resources (e.g. destroys its enclave).
 	Stop()
+}
+
+type affinityKey struct{}
+
+// WithAffinity returns ctx carrying a placement affinity key — for a SeMIRT
+// action, the model id the invocation serves. Acquires made with it prefer a
+// sandbox whose last keyed claim carried the same key, so each model keeps
+// the warm enclave that already holds it instead of swapping models through
+// whichever sandbox is first free (the model-agnostic choice the paper's
+// FnPacker exists to avoid, §IV-C). An empty key is no affinity.
+func WithAffinity(ctx context.Context, key string) context.Context {
+	return context.WithValue(ctx, affinityKey{}, key)
+}
+
+// AffinityFrom returns the affinity key ctx carries ("" when none).
+func AffinityFrom(ctx context.Context) string {
+	key, _ := ctx.Value(affinityKey{}).(string)
+	return key
 }
 
 // InstanceFactory creates the action runtime for a new sandbox on a node.
@@ -181,6 +202,53 @@ type Sandbox struct {
 	inFlight atomic.Int32
 	lastUsed atomic.Int64 // clock nanos
 	born     time.Time
+	// affinity is the key the sandbox's last keyed claim carried (nil:
+	// never claimed with one) — for a SeMIRT action, the model its enclave
+	// most likely holds. claimFrom prefers a sandbox whose tag matches.
+	affinity atomic.Pointer[string]
+}
+
+// tag records key as the sandbox's affinity. The pointer is replaced only
+// when the key changes, so a steady stream of same-key claims allocates
+// nothing.
+func (sb *Sandbox) tag(key string) {
+	if key == "" {
+		return
+	}
+	if p := sb.affinity.Load(); p == nil || *p != key {
+		sb.affinity.Store(&key)
+	}
+}
+
+// Claim preference ranks for a keyed claim, best first (claimFrom).
+const (
+	rankMatch    = iota // ready, tagged with the claim's key
+	rankUntagged        // ready, never claimed with a key (e.g. prewarmed)
+	rankIdle            // ready, nothing in flight: its swap disturbs no one
+	rankFits            // ready with a spare slot (first fit)
+	rankNone            // not claimable
+)
+
+// rank classifies sb for a claim carrying key. It reads only atomics; the
+// claim itself (tryClaim) revalidates.
+func (sb *Sandbox) rank(key string, max int32) int {
+	if sb.state.Load() != sandboxReady {
+		return rankNone
+	}
+	n := sb.inFlight.Load()
+	if n >= max {
+		return rankNone
+	}
+	p := sb.affinity.Load()
+	switch {
+	case p != nil && *p == key:
+		return rankMatch
+	case p == nil:
+		return rankUntagged
+	case n == 0:
+		return rankIdle
+	}
+	return rankFits
 }
 
 // tryClaim reserves one slot if the sandbox is ready and has spare
@@ -658,6 +726,7 @@ func (c *Cluster) acquire(ctx context.Context, action, hint string) (*Sandbox, e
 		return nil, err
 	}
 	hintNode := c.nodeByName(hint)
+	key := AffinityFrom(ctx)
 	for {
 		if c.closed.Load() {
 			return nil, ErrClosed
@@ -670,7 +739,7 @@ func (c *Cluster) acquire(ctx context.Context, action, hint string) (*Sandbox, e
 		// either is visible to the attempts below or closes ch.
 		// Fast path first, without touching the waiter count: the common
 		// case claims a warm slot with a handful of atomic ops.
-		if sb := c.claimReady(as, hintNode); sb != nil {
+		if sb := c.claimReady(as, hintNode, key); sb != nil {
 			c.invocations.Add(1)
 			return sb, nil
 		}
@@ -682,9 +751,9 @@ func (c *Cluster) acquire(ctx context.Context, action, hint string) (*Sandbox, e
 		as.waiters.Add(1)
 		c.waiters.Add(1)
 		ch := *as.notifyCh.Load()
-		sb := c.claimReady(as, hintNode)
+		sb := c.claimReady(as, hintNode, key)
 		if sb == nil {
-			sb, err = c.place(ctx, as, hintNode)
+			sb, err = c.place(ctx, as, hintNode, key)
 		}
 		if err != nil || sb != nil {
 			as.waiters.Add(-1)
@@ -711,24 +780,53 @@ func (c *Cluster) acquire(ctx context.Context, action, hint string) (*Sandbox, e
 // elsewhere) is a slow-path decision in place, made only after the home's
 // options are exhausted. Returns nil when the snapshot is stale or has no
 // claimable slot.
-func (c *Cluster) claimReady(as *actionState, hint *Node) *Sandbox {
+func (c *Cluster) claimReady(as *actionState, hint *Node, key string) *Sandbox {
 	p := as.ready.Load()
 	if p == nil {
 		return nil
 	}
 	snap := *p
 	max := int32(as.a.Concurrency)
-	return c.claimFrom(snap, hint, max)
+	return c.claimFrom(snap, hint, max, key)
 }
 
 // claimFrom claims a slot among snapshot entries (restricted to node only
-// when only != nil), first fit. Snapshots are built busiest-first, so first
-// fit approximates the bin-packing preference for the busiest sandbox with a
-// spare slot while letting the hot path stop at the first claim instead of
-// scanning the whole pool. A successful claim is a warm hit (node- and
-// action-level); a claim that ends an idle period closes it into the
-// action's idle-seconds telemetry.
-func (c *Cluster) claimFrom(snap []*Sandbox, only *Node, max int32) *Sandbox {
+// when only != nil). Without an affinity key it is first fit: snapshots are
+// built busiest-first, so first fit approximates the bin-packing preference
+// for the busiest sandbox with a spare slot while letting the hot path stop
+// at the first claim instead of scanning the whole pool.
+//
+// A keyed claim (WithAffinity) ranks candidates instead: a sandbox tagged
+// with the key, then an untagged one, then an idle one (its model swap
+// stalls no in-flight request), then first fit. One scan claims the first
+// tag match outright and remembers the best fallback; a fallback lost to a
+// racing claim leaves the first-fit scan below.
+func (c *Cluster) claimFrom(snap []*Sandbox, only *Node, max int32, key string) *Sandbox {
+	if key != "" {
+		var fallback *Sandbox
+		best := rankNone
+		for _, sb := range snap {
+			if only != nil && sb.node != only {
+				continue
+			}
+			r := sb.rank(key, max)
+			if r >= best || !c.nodeAvailable(sb.node) {
+				continue
+			}
+			if r == rankMatch {
+				if ok, wasIdle := sb.tryClaim(max); ok {
+					return c.claimed(sb, wasIdle, key)
+				}
+				continue
+			}
+			best, fallback = r, sb
+		}
+		if fallback != nil {
+			if ok, wasIdle := fallback.tryClaim(max); ok {
+				return c.claimed(fallback, wasIdle, key)
+			}
+		}
+	}
 	for _, sb := range snap {
 		if only != nil && sb.node != only {
 			continue
@@ -736,25 +834,31 @@ func (c *Cluster) claimFrom(snap []*Sandbox, only *Node, max int32) *Sandbox {
 		if !c.nodeAvailable(sb.node) {
 			continue
 		}
-		ok, wasIdle := sb.tryClaim(max)
-		if !ok {
-			continue
+		if ok, wasIdle := sb.tryClaim(max); ok {
+			return c.claimed(sb, wasIdle, key)
 		}
-		sb.node.warmHits.Add(1)
-		sb.as.warmHits.Add(1)
-		if wasIdle {
-			// lastUsed is read AFTER the idle-ending claim: the releaser
-			// stores lastUsed before decrementing inFlight, so having
-			// observed inFlight go 0→1 guarantees the store is visible —
-			// reading earlier could misattribute a whole busy period as
-			// idle. Only the claimer that ends the period accrues it.
-			if idle := c.clock.Now().UnixNano() - sb.lastUsed.Load(); idle > 0 {
-				sb.as.idleNanos.Add(idle)
-			}
-		}
-		return sb
 	}
 	return nil
+}
+
+// claimed books a successful slot claim: a warm hit (node- and
+// action-level), the claim's affinity tag, and — for a claim that ends an
+// idle period — the period's length in the action's idle-seconds telemetry.
+func (c *Cluster) claimed(sb *Sandbox, wasIdle bool, key string) *Sandbox {
+	sb.node.warmHits.Add(1)
+	sb.as.warmHits.Add(1)
+	sb.tag(key)
+	if wasIdle {
+		// lastUsed is read AFTER the idle-ending claim: the releaser
+		// stores lastUsed before decrementing inFlight, so having
+		// observed inFlight go 0→1 guarantees the store is visible —
+		// reading earlier could misattribute a whole busy period as
+		// idle. Only the claimer that ends the period accrues it.
+		if idle := c.clock.Now().UnixNano() - sb.lastUsed.Load(); idle > 0 {
+			sb.as.idleNanos.Add(idle)
+		}
+	}
+	return sb
 }
 
 // place is the slow path: under the action's placement lock, rebuild the
@@ -768,7 +872,7 @@ func (c *Cluster) claimFrom(snap []*Sandbox, only *Node, max int32) *Sandbox {
 // off-home now would trample warm state other streams built elsewhere), and
 // only then the unhinted ladder: any ready slot, any node with room,
 // eviction.
-func (c *Cluster) place(ctx context.Context, as *actionState, hint *Node) (*Sandbox, error) {
+func (c *Cluster) place(ctx context.Context, as *actionState, hint *Node, key string) (*Sandbox, error) {
 	if hint != nil && !c.nodeAvailable(hint) {
 		// A hint pointing at a crashed or breaker-open node is void: walking
 		// its locality rungs would only wait on capacity that cannot serve.
@@ -782,12 +886,12 @@ func (c *Cluster) place(ctx context.Context, as *actionState, hint *Node) (*Sand
 	snap := c.rebuildSnapshot(as)
 	max := int32(as.a.Concurrency)
 	if hint != nil {
-		if sb := c.claimFrom(snap, hint, max); sb != nil {
+		if sb := c.claimFrom(snap, hint, max, key); sb != nil {
 			as.startMu.Unlock()
 			return sb, nil
 		}
 		if c.tryReserve(hint, as.a.MemoryBudget) {
-			sb := c.registerStarting(as, hint, 1)
+			sb := c.registerStarting(as, hint, 1, key)
 			as.startMu.Unlock()
 			if err := c.confirmOpenOrAbort(sb); err != nil {
 				return nil, err
@@ -799,7 +903,7 @@ func (c *Cluster) place(ctx context.Context, as *actionState, hint *Node) (*Sand
 			return nil, nil
 		}
 	}
-	if sb := c.claimFrom(snap, nil, max); sb != nil {
+	if sb := c.claimFrom(snap, nil, max, key); sb != nil {
 		as.startMu.Unlock()
 		return sb, nil
 	}
@@ -815,7 +919,7 @@ func (c *Cluster) place(ctx context.Context, as *actionState, hint *Node) (*Sand
 		as.startMu.Unlock()
 		return nil, nil
 	}
-	sb := c.registerStarting(as, node, 1)
+	sb := c.registerStarting(as, node, 1, key)
 	as.startMu.Unlock()
 	if err := c.confirmOpenOrAbort(sb); err != nil {
 		return nil, err
@@ -1042,9 +1146,12 @@ func accrueIdle(sb *Sandbox, nowNanos int64) {
 
 // registerStarting creates a starting sandbox on a node whose memory is
 // already reserved, linking it into the node's hosting list. claimed pre-books
-// slots for the creator (1 from acquire, 0 from Prewarm).
-func (c *Cluster) registerStarting(as *actionState, n *Node, claimed int32) *Sandbox {
+// slots for the creator (1 from acquire, 0 from Prewarm); key is the
+// creator's affinity, tagged before the sandbox can turn ready so no other
+// key's claim takes it for untagged.
+func (c *Cluster) registerStarting(as *actionState, n *Node, claimed int32, key string) *Sandbox {
 	sb := &Sandbox{action: as.a, as: as, node: n, born: c.clock.Now()}
+	sb.tag(key)
 	sb.state.Store(sandboxStarting)
 	sb.inFlight.Store(claimed)
 	n.mu.Lock()
@@ -1161,7 +1268,7 @@ func (c *Cluster) PrewarmOn(action, node string, want int) (int, error) {
 				as.startMu.Unlock()
 				return
 			}
-			sb := c.registerStarting(as, n, 0)
+			sb := c.registerStarting(as, n, 0, "")
 			as.startMu.Unlock()
 			if c.confirmOpenOrAbort(sb) != nil {
 				return // racing Close: registration aborted
@@ -1321,8 +1428,8 @@ type Stats struct {
 // Stats returns a snapshot.
 func (c *Cluster) Stats() Stats {
 	st := Stats{
-		Sandboxes:   map[string]int{},
-		Serving:     map[string]int{},
+		Sandboxes:    map[string]int{},
+		Serving:      map[string]int{},
 		ColdStarts:   c.coldStarts.Load(),
 		Invocations:  c.invocations.Load(),
 		Evictions:    c.evictions.Load(),
