@@ -1,34 +1,42 @@
-// Package frontier is the horizontally sharded serving tier: N independent
-// gateway.Gateway shards behind a consistent-hash router, fronting one
-// backend (the serverless cluster). It is the layer that takes the gateway's
+// Package frontier is the horizontally sharded serving tier: N gateway.Gateway
+// shards behind a consistent-hash router, fronting one backend (the
+// serverless cluster). It is the layer that takes the gateway's
 // single-instance ceiling off the system — every queue, DRR fairness,
-// affinity, autoscaling and retry feature runs shard-local, and the frontier
-// adds only routing, spill and stealing on top.
+// autoscaling and retry feature runs shard-local, the shards share one
+// affinity home table, and the frontier adds only routing, spill and
+// stealing on top.
 //
 // Architecture (README "Sharded frontier"):
 //
-//	clients → consistent-hash ring (atomic snapshot, lock-free lookup)
-//	        → shard = gateway.Gateway (own queues, DRR, affinity, retries)
-//	        → shared backend cluster
+//		clients → consistent-hash ring (atomic snapshot, lock-free lookup)
+//		        → shard = gateway.Gateway (own queues, DRR, retries)
+//		        → shared affinity home table (one home node per model)
+//		        → shared backend cluster
 //
-//   - Routing: requests hash by (action, model, tenant) onto a ring with
-//     bounded virtual nodes per shard, so one model's queue — and its warm
-//     affinity state — lives on exactly one shard, and tenants of the same
-//     queue land together (DRR fairness stays meaningful per shard).
-//   - Admit path: one atomic ring-snapshot load plus the target shard's own
-//     mutex. The frontier itself takes NO lock on admission; its counters
-//     are atomics and its envelopes recycle through the per-shard pools.
-//   - Spill (bounded re-hash): when the home shard refuses with
-//     ErrOverloaded/ErrTenantOverloaded, admission retries on the next
-//     distinct ring candidates (up to SpillDepth), so a hot key saturating
-//     one shard borrows headroom instead of rejecting while neighbors idle.
-//   - Work stealing: a pacer compares shard backlogs and moves whole
-//     (action, model) queue drains from the most to the least backlogged
-//     shard at dispatch boundaries (gateway.StealQueue/AcceptStolen),
-//     fairness-neutrally — original enqueue times, no fresh DRR deficit.
-//   - Aggregation: Stats, TenantSnapshot and Metrics merge across shards
-//     (histograms via metrics.Histogram.Merge), so callers observe one
-//     logical gateway.
+//	  - Routing: requests hash by (action, model, tenant) onto a ring with
+//	    bounded virtual nodes per shard. The tenant is part of the key on
+//	    purpose: one hot model's stream splits across shards by tenant, so
+//	    no single shard carries it alone. Each shard runs its own
+//	    (action, model) queue for the tenants that land on it, and DRR
+//	    fairness holds among those tenants.
+//	  - Affinity homes are frontier-wide: New builds one home table and
+//	    every shard routes by it (gateway.NewShards), so a model's batches
+//	    reach one warm node whichever shard formed them.
+//	  - Admit path: one atomic ring-snapshot load plus the target shard's own
+//	    mutex. The frontier itself takes NO lock on admission; its counters
+//	    are atomics and its envelopes recycle through the per-shard pools.
+//	  - Spill (bounded re-hash): when the home shard refuses with
+//	    ErrOverloaded/ErrTenantOverloaded, admission retries on the next
+//	    distinct ring candidates (up to SpillDepth), so a hot key saturating
+//	    one shard borrows headroom instead of rejecting while neighbors idle.
+//	  - Work stealing: a pacer compares shard backlogs and moves whole
+//	    (action, model) queue drains from the most to the least backlogged
+//	    shard at dispatch boundaries (gateway.StealQueue/AcceptStolen),
+//	    fairness-neutrally — original enqueue times, no fresh DRR deficit.
+//	    A stolen drain dispatches to its model's existing home.
+//	  - Aggregation: Stats, TenantSnapshot and Metrics merge across shards
+//	    (histograms via metrics.Histogram.Merge), so callers observe one
+//	    logical gateway.
 package frontier
 
 import (
@@ -132,15 +140,12 @@ func New(cfg Config, inv gateway.Invoker) *Frontier {
 }
 
 // NewPerShard creates a frontier with one backend per shard — tests and
-// split-backend deployments; len(invs) overrides cfg.Shards.
+// split-backend deployments; len(invs) overrides cfg.Shards. The shards
+// share one affinity home table, owned by the frontier.
 func NewPerShard(cfg Config, invs []gateway.Invoker) *Frontier {
 	cfg.defaults()
 	cfg.Shards = len(invs)
-	f := &Frontier{cfg: cfg, stop: make(chan struct{})}
-	f.shards = make([]*gateway.Gateway, cfg.Shards)
-	for i := range f.shards {
-		f.shards[i] = gateway.New(cfg.Config, invs[i])
-	}
+	f := &Frontier{cfg: cfg, stop: make(chan struct{}), shards: gateway.NewShards(cfg.Config, invs)}
 	f.ring.Store(newRing(cfg.Shards, cfg.VirtualNodes))
 	if cfg.Shards > 1 && cfg.StealInterval > 0 {
 		f.wg.Add(1)

@@ -142,6 +142,7 @@ func TestSingleShardPassthrough(t *testing.T) {
 	if err != nil || string(resp.Payload) != "hello" {
 		t.Fatalf("Do = %q, %v", resp.Payload, err)
 	}
+	settle(t, f)
 	if s := f.Stats(); s.Accepted != 1 || s.Served != 1 || len(s.PerShard) != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
@@ -436,6 +437,7 @@ func TestStealCompletesSaturatedShardExactlyOnce(t *testing.T) {
 	if total != n {
 		t.Fatalf("served %d distinct payloads, want %d", total, n)
 	}
+	settle(t, f)
 	s := f.Stats()
 	if s.Accepted != n || s.Served != n || s.Pending != 0 {
 		t.Fatalf("merged accounting off: accepted=%d served=%d pending=%d", s.Accepted, s.Served, s.Pending)
@@ -477,6 +479,7 @@ func TestTenantSnapshotAndMetricsMerge(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	settle(t, f)
 
 	snap := f.TenantSnapshot()
 	for tn := 0; tn < tenants; tn++ {
@@ -505,6 +508,14 @@ func TestFrontierClose(t *testing.T) {
 	if _, err := f.Do(context.Background(), "a", req("m", "x")); !errors.Is(err, gateway.ErrClosed) {
 		t.Fatalf("Do after Close = %v, want ErrClosed", err)
 	}
+}
+
+// settle waits until every admitted request is fully accounted. A waiter
+// wakes on its result send, which precedes the dispatcher's Served and
+// tenant accounting; Pending drops to zero only after both.
+func settle(t *testing.T, f *Frontier) {
+	t.Helper()
+	waitFor(t, func() bool { return f.Stats().Pending == 0 })
 }
 
 func waitFor(t *testing.T, cond func() bool) {

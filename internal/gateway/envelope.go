@@ -268,10 +268,8 @@ func (g *Gateway) Submit(ctx context.Context, req Request) (*Ticket, error) {
 	g.accepted.Add(1)
 	g.tenantAddLocked(req.Tenant, func(tc *tenantCounts) { tc.accepted++ })
 	g.m.QueueDepth.Observe(float64(q.size))
-	if g.rt != nil && q.home == "" && req.Hints.Node != "" {
-		if _, ok := g.stickyHomes[q.key]; !ok {
-			g.adoptHomeLocked(q, req.Hints.Node)
-		}
+	if g.rt != nil && req.Hints.Node != "" {
+		g.homes.adopt(q.action, q.key, req.Hints.Node)
 	}
 	g.flushLocked(q, false)
 	g.armTimerLocked(q)

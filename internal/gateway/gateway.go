@@ -36,10 +36,12 @@
 //	    than spawning unbounded dispatches.
 //	  - Prewarming: queue depth drives serverless.Cluster.Prewarm, growing the
 //	    warm sandbox pool ahead of demand.
-//	  - Affinity routing (Config.Affinity): each queue keeps a sticky home
-//	    node and dispatches its batches there (serverless.Cluster.InvokeOn),
-//	    so consecutive batches of one model reuse the same warm enclaves; a
-//	    saturated home is abandoned by power-of-two-choices re-homing.
+//	  - Affinity routing (Config.Affinity): each (action, model) queue has a
+//	    sticky home node in the home table (homes.go) and dispatches its
+//	    batches there (serverless.Cluster.InvokeOn), so consecutive batches
+//	    of one model reuse the same warm enclaves; a saturated home is
+//	    abandoned by power-of-two-choices re-homing. Shards built together
+//	    (NewShards) share one table, so a model has one home per frontier.
 //
 // Every accepted request is answered exactly once: it either rides a batch
 // (its buffered result channel receives the fan-out) or its caller cancels
@@ -462,9 +464,8 @@ type queue struct {
 	// estimate behind deadline-aware shedding (0 until the first batch).
 	svcEWMA time.Duration
 
-	// Affinity state: home is the sticky preferred node ("" until routed);
-	// offHome counts consecutive dispatches the cluster served elsewhere.
-	home    string
+	// offHome counts consecutive dispatches the cluster served away from
+	// the queue's home (the home itself lives in the gateway's homeTable).
 	offHome int
 }
 
@@ -683,17 +684,15 @@ type Gateway struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu     sync.Mutex
-	queues map[string]*queue
-	warm   map[string]*actionWarm
-	homes  map[string]int // action\x1fnode -> models homed there
-	// stickyHomes remembers a queue's home across queue reaping: the warm
-	// enclave state a home describes outlives the (bursty) queue, so a
-	// re-created queue must return to it instead of reshuffling the cluster.
-	// Bounded by maxStickyHomes; a random entry is dropped (and its homes
-	// count released) past that.
-	stickyHomes map[string]string // queue key -> node
-	pending     int               // requests admitted but not yet answered, all queues
+	// homes is the affinity home table: private to a lone gateway, shared
+	// by every shard built by one NewShards call. Taken after mu, never
+	// before.
+	homes *homeTable
+
+	mu          sync.Mutex
+	queues      map[string]*queue
+	warm        map[string]*actionWarm
+	pending     int // requests admitted but not yet answered, all queues
 	tenantStats map[string]*tenantCounts
 	closed      bool
 
@@ -747,14 +746,30 @@ func sessionOpenerFor(inv Invoker) SessionOpener {
 // *serverless.Cluster does) and cfg.PrewarmDepth is positive, queue depth
 // drives warm capacity.
 func New(cfg Config, inv Invoker) *Gateway {
+	return newGateway(cfg, inv, newHomeTable())
+}
+
+// NewShards creates one gateway per backend, all sharing one affinity home
+// table: a model homed by any of them is homed for all of them, so shards
+// fed the same model by a tenant-hashing router send its batches to one
+// node. The table lives exactly as long as the shards do.
+func NewShards(cfg Config, invs []Invoker) []*Gateway {
+	homes := newHomeTable()
+	gs := make([]*Gateway, len(invs))
+	for i, inv := range invs {
+		gs[i] = newGateway(cfg, inv, homes)
+	}
+	return gs
+}
+
+func newGateway(cfg Config, inv Invoker, homes *homeTable) *Gateway {
 	cfg.defaults()
 	g := &Gateway{
 		cfg:         cfg,
 		inv:         inv,
+		homes:       homes,
 		queues:      map[string]*queue{},
 		warm:        map[string]*actionWarm{},
-		homes:       map[string]int{},
-		stickyHomes: map[string]string{},
 		tenantStats: map[string]*tenantCounts{},
 		m: Metrics{
 			BatchSizes: metrics.NewHistogram(1),
@@ -885,12 +900,7 @@ func (g *Gateway) flushLocked(q *queue, force bool) {
 			q.opening++
 			home := ""
 			if g.rt != nil {
-				if q.home == "" {
-					if h, ok := g.stickyHomes[q.key]; ok {
-						q.home = h
-					}
-				}
-				home = q.home
+				home = g.homes.get(q.key)
 			}
 			g.wg.Add(1)
 			go g.dispatchSession(q, home)
@@ -918,15 +928,11 @@ func (g *Gateway) flushLocked(q *queue, force bool) {
 		g.m.BatchSizes.Observe(float64(len(batch)))
 		home := ""
 		if g.rt != nil {
-			// Adopt a remembered home cheaply here; a queue with no home yet
-			// elects one in the dispatch goroutine, where the cluster scan
-			// (Router.NodeStats takes every node lock) runs outside g.mu.
-			if q.home == "" {
-				if h, ok := g.stickyHomes[q.key]; ok {
-					q.home = h
-				}
-			}
-			home = q.home
+			// Re-read the table on every flush: a peer shard may have elected
+			// or moved this model's home since the last batch. A queue with no
+			// home yet elects one in the dispatch goroutine, where the cluster
+			// scan (Router.NodeStats takes every node lock) runs outside g.mu.
+			home = g.homes.get(q.key)
 		}
 		g.wg.Add(1)
 		go g.dispatch(q, batch, home)
@@ -1241,17 +1247,11 @@ func (g *Gateway) dispatch(q *queue, batch []*pending, home string) {
 		}
 	}
 	if g.rt != nil && home == "" {
-		// First dispatch of a fresh queue: elect a home. The cluster scan
-		// runs unlocked; the adoption re-checks under g.mu (a concurrent
-		// dispatcher may have elected one first). The choice is advisory —
-		// the cluster revalidates placement on every acquire.
-		stats := g.rt.NodeStats(q.action)
-		g.mu.Lock()
-		if q.home == "" {
-			g.chooseHomeLocked(q, stats)
-		}
-		home = q.home
-		g.mu.Unlock()
+		// First dispatch of a fresh model: elect a home. The cluster scan
+		// runs unlocked; the election adopts any home a concurrent
+		// dispatcher (of this shard or a peer) recorded first. The choice is
+		// advisory — the cluster revalidates placement on every acquire.
+		home = g.homes.elect(q.action, q.key, g.rt.NodeStats(q.action))
 	}
 	var results []semirt.BatchResult
 	var stages []obs.StageDur
@@ -1374,14 +1374,9 @@ func (g *Gateway) dispatch(q *queue, batch []*pending, home string) {
 	}
 	if needRehome {
 		// The cluster scan behind re-homing runs outside g.mu (it takes
-		// every node lock); the application re-checks that the queue still
-		// sits on the saturated home.
-		stats := g.rt.NodeStats(q.action)
-		g.mu.Lock()
-		if q.home == home {
-			g.rehomeLocked(q, stats)
-		}
-		g.mu.Unlock()
+		// every node lock); the table moves the home only if it still names
+		// the saturated one.
+		g.rehome(q, home, g.rt.NodeStats(q.action))
 	}
 }
 
@@ -1390,8 +1385,9 @@ func (g *Gateway) dispatch(q *queue, batch []*pending, home string) {
 // those in a row report that a re-home is due (performed by the caller
 // outside the lock).
 func (g *Gateway) noteServedLocked(q *queue, home, servedOn string) bool {
-	if q.home != home {
-		return false // re-homed while this batch was in flight
+	if g.homes.get(q.key) != home {
+		q.offHome = 0
+		return false // re-homed (here or by a peer shard) while in flight
 	}
 	if servedOn == home {
 		q.offHome = 0
@@ -1401,131 +1397,17 @@ func (g *Gateway) noteServedLocked(q *queue, home, servedOn string) bool {
 	return q.offHome >= g.cfg.RehomeAfter
 }
 
-// maxStickyHomes bounds the remembered-home map so caller-supplied model ids
-// cannot grow gateway state without bound.
-const maxStickyHomes = 8192
-
-// chooseHomeLocked elects a home for a queue that has none, from a node
-// snapshot fetched OUTSIDE g.mu (the scan takes every node lock). The choice
-// spreads hot models across the cluster: nodes with fewer models already
-// homed on them win, then warm ready capacity for the action, then free
-// memory — so a fresh model claims an un-homed node with room, and
-// consecutive batches keep landing on the warm state they build.
-func (g *Gateway) chooseHomeLocked(q *queue, stats []serverless.NodeStat) {
-	if len(stats) == 0 {
-		return
+// rehome moves q's home off the saturated from, stats fetched by the caller
+// outside g.mu. Whether or not the table entry moved, the queue's off-home
+// streak restarts: its next flush reads whatever home the table holds.
+func (g *Gateway) rehome(q *queue, from string, stats []serverless.NodeStat) {
+	g.mu.Lock()
+	if g.homes.rehome(q.action, q.key, from, stats) {
+		g.rehomes.Add(1)
 	}
-	best := stats[0]
-	for _, st := range stats[1:] {
-		if g.homeLess(q.action, st, best) {
-			best = st
-		}
-	}
-	g.adoptHomeLocked(q, best.Node)
-}
-
-// homeLess reports whether candidate a is a strictly better home than b.
-func (g *Gateway) homeLess(action string, a, b serverless.NodeStat) bool {
-	ha, hb := g.homes[homeKey(action, a.Node)], g.homes[homeKey(action, b.Node)]
-	if ha != hb {
-		return ha < hb
-	}
-	if a.ReadySlots != b.ReadySlots {
-		return a.ReadySlots > b.ReadySlots
-	}
-	fa, fb := a.Capacity-a.Reserved, b.Capacity-b.Reserved
-	return fa > fb
-}
-
-// rehomeLocked picks a new home by power of two choices: two random
-// candidates (the saturated current home excluded), keep the better one.
-// Randomization stops every starved queue from stampeding onto the one
-// globally best node in the same instant. stats is fetched outside g.mu by
-// the caller.
-func (g *Gateway) rehomeLocked(q *queue, stats []serverless.NodeStat) {
-	cands := stats[:0:0]
-	for _, st := range stats {
-		if st.Node != q.home {
-			cands = append(cands, st)
-		}
-	}
-	if len(cands) == 0 {
-		q.offHome = 0
-		return
-	}
-	pick := cands[rand.Intn(len(cands))]
-	if len(cands) > 1 {
-		other := cands[rand.Intn(len(cands)-1)]
-		if other.Node == pick.Node {
-			other = cands[len(cands)-1]
-		}
-		if g.homeLess(q.action, other, pick) {
-			pick = other
-		}
-	}
-	g.releaseHomeLocked(q.action, q.home)
-	q.home = ""
-	g.adoptHomeLocked(q, pick.Node)
-	g.rehomes.Add(1)
-}
-
-// adoptHomeLocked homes q on node, counting it and remembering it across
-// queue reaping. Past maxStickyHomes an arbitrary remembered home is dropped
-// (its count with it) — the map stays bounded and the victim simply
-// re-chooses on its next traffic.
-func (g *Gateway) adoptHomeLocked(q *queue, node string) {
-	q.home = node
 	q.offHome = 0
-	if node == "" {
-		return
-	}
-	g.homes[homeKey(q.action, node)]++
-	if _, existed := g.stickyHomes[q.key]; !existed && len(g.stickyHomes) >= maxStickyHomes {
-		g.evictStickyHomeLocked()
-	}
-	g.stickyHomes[q.key] = node
+	g.mu.Unlock()
 }
-
-// evictStickyHomeLocked drops one remembered home to keep the map bounded,
-// preferring an entry whose queue is not live. If every entry belongs to a
-// live queue (pathological: maxStickyHomes concurrent hot models), the victim
-// queue's own home is cleared with the count, so the spread counts can never
-// be double-released when that queue later re-homes or reaps.
-func (g *Gateway) evictStickyHomeLocked() {
-	victim := ""
-	for k := range g.stickyHomes {
-		if victim == "" {
-			victim = k
-		}
-		if g.queues[k] == nil {
-			victim = k
-			break
-		}
-	}
-	if victim == "" {
-		return
-	}
-	action, _, _ := splitQueueKey(victim)
-	g.releaseHomeLocked(action, g.stickyHomes[victim])
-	delete(g.stickyHomes, victim)
-	if lq := g.queues[victim]; lq != nil {
-		lq.home = ""
-		lq.offHome = 0
-	}
-}
-
-func (g *Gateway) releaseHomeLocked(action, node string) {
-	if node == "" {
-		return
-	}
-	k := homeKey(action, node)
-	g.homes[k]--
-	if g.homes[k] <= 0 {
-		delete(g.homes, k)
-	}
-}
-
-func homeKey(action, node string) string { return action + "\x1f" + node }
 
 // reapLocked deletes a fully drained queue so caller-supplied model ids
 // cannot grow g.queues without bound. The queue's prewarm demand leaves the
@@ -1549,9 +1431,9 @@ func (g *Gateway) reapLocked(q *queue) {
 		}
 	}
 	q.prewarmWant = 0
-	// The queue's home deliberately survives in stickyHomes (and keeps its
-	// homes count): the warm enclaves it routes to are still on that node,
-	// and the queue's next incarnation must return to them.
+	// The queue's home deliberately survives in the home table (and keeps
+	// its count): the warm enclaves it routes to are still on that node, and
+	// the queue's next incarnation must return to them.
 	delete(g.queues, q.key)
 }
 
@@ -1598,10 +1480,7 @@ func (g *Gateway) maybePrewarmLocked(q *queue) {
 	// sandboxes this call starts are the ones the affinity router's next
 	// batches actually reach, instead of first-fit capacity on a node the
 	// router never dispatches to.
-	home := q.home
-	if home == "" {
-		home = g.stickyHomes[q.key]
-	}
+	home := g.homes.get(q.key)
 	// Deliberately not wg-tracked: Prewarm can take SandboxStart per sandbox
 	// and has no cancellation path, so tracking it would stall Close for
 	// seconds growing capacity that Close immediately discards. A late

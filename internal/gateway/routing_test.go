@@ -205,9 +205,9 @@ func TestHomeSurvivesQueueReap(t *testing.T) {
 		defer g.mu.Unlock()
 		return len(g.queues) == 0
 	})
-	g.mu.Lock()
-	sticky, homes := len(g.stickyHomes), len(g.homes)
-	g.mu.Unlock()
+	g.homes.mu.Lock()
+	sticky, homes := len(g.homes.homes), len(g.homes.counts)
+	g.homes.mu.Unlock()
 	if sticky != 1 || homes != 1 {
 		t.Fatalf("sticky %d homes %d after reap, want 1/1", sticky, homes)
 	}
@@ -236,5 +236,29 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never held")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestHomeTableRehomeIsCompareAndSwap: a re-home moves the entry only while
+// it still names the home the caller saw saturate, so a second shard acting
+// on the same stale home neither moves it again nor releases a count twice.
+func TestHomeTableRehomeIsCompareAndSwap(t *testing.T) {
+	stats := newFakeRouter("n0", "n1").NodeStats("fn")
+	tb := newHomeTable()
+	key := queueKey("fn", "m0")
+	if h := tb.elect("fn", key, stats); h != "n0" {
+		t.Fatalf("elected %q, want n0", h)
+	}
+	if !tb.rehome("fn", key, "n0", stats) {
+		t.Fatal("re-home off the current home refused")
+	}
+	if tb.rehome("fn", key, "n0", stats) {
+		t.Fatal("stale re-home moved the entry again")
+	}
+	if h := tb.get(key); h != "n1" {
+		t.Fatalf("home %q, want n1", h)
+	}
+	if len(tb.counts) != 1 || tb.counts[homeKey("fn", "n1")] != 1 {
+		t.Fatalf("counts %v, want only n1:1", tb.counts)
 	}
 }

@@ -108,15 +108,10 @@ func (g *Gateway) requeueLocked(q *queue, p *pending) {
 func (g *Gateway) dispatchSession(q *queue, home string) {
 	defer g.wg.Done()
 	if g.rt != nil && home == "" {
-		// First dispatch of a fresh queue: elect a home (same protocol as
-		// dispatch — the cluster scan runs unlocked, adoption re-checks).
-		stats := g.rt.NodeStats(q.action)
-		g.mu.Lock()
-		if q.home == "" {
-			g.chooseHomeLocked(q, stats)
-		}
-		home = q.home
-		g.mu.Unlock()
+		// First dispatch of a fresh model: elect a home (same protocol as
+		// dispatch — the cluster scan runs unlocked, the table adopts any
+		// home recorded first).
+		home = g.homes.elect(q.action, q.key, g.rt.NodeStats(q.action))
 	}
 
 	members := map[int]*sessMember{}
@@ -362,11 +357,6 @@ func (g *Gateway) dispatchSession(q *queue, home string) {
 		g.cfg.Autoscaler.NoteBatch(q.action, q.model, served, svcSum/time.Duration(served), servedOn)
 	}
 	if needRehome {
-		stats := g.rt.NodeStats(q.action)
-		g.mu.Lock()
-		if q.home == home {
-			g.rehomeLocked(q, stats)
-		}
-		g.mu.Unlock()
+		g.rehome(q, home, g.rt.NodeStats(q.action))
 	}
 }

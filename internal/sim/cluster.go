@@ -133,10 +133,11 @@ type Config struct {
 	// (internal/frontier): requests hash by (endpoint, model, user) — the
 	// frontier's (action, model, tenant) route key — onto Shards logical
 	// gateway shards, and every stream-granular structure splits per shard:
-	// batch formation, DRR holds, the MaxInFlight dispatch bound and
-	// affinity homes all key on the shard-suffixed stream. A multi-tenant
-	// stream therefore forms batches — and earns dispatch ceiling —
-	// independently per shard, exactly as N frontier shards would split it.
+	// batch formation, DRR holds and the MaxInFlight dispatch bound all key
+	// on the shard-suffixed stream. A multi-tenant stream therefore forms
+	// batches — and earns dispatch ceiling — independently per shard,
+	// exactly as N frontier shards would split it. Affinity homes stay
+	// per (endpoint, model): the frontier's shards share one home table.
 	// ≤ 1 leaves the single-gateway behavior byte-for-byte unchanged.
 	Shards int
 	// KeyCacheSize mirrors semirt.Config.KeyCacheSize: the per-sandbox LRU
@@ -636,8 +637,9 @@ type Simulation struct {
 	// activeLoads counts in-flight model transfers from shared storage.
 	activeLoads int
 
-	// Affinity state: sticky home node per (endpoint, model) stream and how
-	// many streams are homed per node (for spread). inflight counts each
+	// Affinity state: sticky home node per (endpoint, model) — shared by
+	// every shard, like the frontier's home table — and how many models are
+	// homed per node (for spread). inflight counts each shard-suffixed
 	// stream's dispatched-but-incomplete queue entries for the MaxInFlight
 	// bound.
 	homes     map[string]*node
@@ -1062,13 +1064,17 @@ func (s *Simulation) flushBatch(key string, f *forming) {
 	s.dispatch(lead.ep)
 }
 
+// homeKey identifies one (endpoint, model) — the granularity of affinity
+// homing, which every shard shares.
+func homeKey(req *request) string { return req.ep + "\x1f" + req.ev.ModelID }
+
 // streamKey identifies one (endpoint, model) stream — the granularity of
-// batch formation, DRR holds, the MaxInFlight dispatch bound and affinity
-// homing. Under sharding (Config.Shards > 1) the key carries the request's
-// shard, so each of those structures splits per shard exactly as N frontier
-// shards would split them.
+// batch formation, DRR holds and the MaxInFlight dispatch bound. Under
+// sharding (Config.Shards > 1) the key carries the request's shard, so each
+// of those structures splits per shard exactly as N frontier shards would
+// split them.
 func (s *Simulation) streamKey(req *request) string {
-	k := req.ep + "\x1f" + req.ev.ModelID
+	k := homeKey(req)
 	if s.cfg.Shards > 1 {
 		k += "\x1fs" + strconv.Itoa(s.shardOf(req))
 	}
@@ -1190,17 +1196,18 @@ func (s *Simulation) takeAndServe(ep string, i int, sb *sandbox, req *request) {
 // cluster when the hinted node is saturated). Returns (nil, true) when the
 // caller should wait for capacity the home is already starting.
 func (s *Simulation) placeWithAffinity(spec *ActionSpec, req *request) (*sandbox, bool) {
-	key := s.streamKey(req)
+	key := homeKey(req)
 	home := s.homeFor(key)
 	for attempt := 0; attempt < 2; attempt++ {
 		if sb := s.pickSandboxOn(spec, req.ev.ModelID, home); sb != nil {
 			return sb, false
 		}
-		// Start capacity on the home while it has room and the stream's
-		// queued entries outnumber the slots already starting there.
+		// Start capacity on the home while it has room and the model's
+		// queued entries (from every shard) outnumber the slots already
+		// starting there.
 		demand := 0
 		for _, r := range s.queues[req.ep] {
-			if s.streamKey(r) == key {
+			if homeKey(r) == key {
 				demand++
 			}
 		}
@@ -1227,8 +1234,8 @@ func (s *Simulation) placeWithAffinity(spec *ActionSpec, req *request) (*sandbox
 	return s.pickSandbox(spec, req.ev.ModelID), false
 }
 
-// homeFor returns the stream's sticky home, electing one on first use:
-// fewest streams homed on the node, then most free memory, then node order —
+// homeFor returns the model's sticky home, electing one on first use:
+// fewest models homed on the node, then most free memory, then node order —
 // the gateway router's spread rule.
 func (s *Simulation) homeFor(key string) *node {
 	if n := s.homes[key]; n != nil {
@@ -1261,11 +1268,11 @@ func (s *Simulation) electHome(key string, avoid *node) *node {
 	return best
 }
 
-// rehome moves the stream off a dead home to the next-best node. The dead
+// rehome moves the model off a dead home to the next-best node. The dead
 // home is excluded from the election outright: decrementing its count makes
 // it the fewest-homed node, and the fewest-homed rule outranks the
-// free-memory tie-break, so without the exclusion the stream would re-elect
-// the very node it is abandoning (the live router's rehomeLocked excludes
+// free-memory tie-break, so without the exclusion the model would re-elect
+// the very node it is abandoning (the live home table's rehome excludes
 // the current home the same way).
 func (s *Simulation) rehome(key string, old *node) *node {
 	s.homeCount[old]--

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"sesemi/internal/costmodel"
 	"sesemi/internal/workload"
 )
 
@@ -99,5 +101,57 @@ func TestShardsRespectPerShardInFlightBound(t *testing.T) {
 	}
 	if sum != 32 {
 		t.Fatalf("PerShard sums to %d, want 32", sum)
+	}
+}
+
+// TestShardsShareModelHomes mirrors the frontier's shared home table: with
+// every model's users hashed across two shards, each model still has
+// exactly one home, and the spread rule counts models frontier-wide — four
+// models land two per node.
+func TestShardsShareModelHomes(t *testing.T) {
+	cfg := Config{
+		System:       SeSeMI,
+		HW:           costmodel.SGX2,
+		Nodes:        2,
+		CoresPerNode: 12,
+		NodeMemory:   4 << 30,
+		SandboxStart: 50 * time.Millisecond,
+		KeepWarm:     10 * time.Minute,
+		Actions: []ActionSpec{{
+			Name: "fn", Framework: "tvm", Concurrency: 4, DefaultModel: "mbnet",
+		}},
+		ModelCosts: map[string]string{"ma": "mbnet", "mb": "mbnet", "mc": "mbnet", "md": "mbnet"},
+		Affinity:   true,
+		Shards:     2,
+		Batch:      BatchSpec{MaxBatch: 4, MaxWait: 5 * time.Millisecond},
+	}
+	var tr workload.Trace
+	for i := 0; i < 32; i++ {
+		for _, m := range []string{"ma", "mb", "mc", "md"} {
+			tr = append(tr, workload.Event{At: time.Duration(i) * 20 * time.Millisecond, ModelID: m,
+				UserID: fmt.Sprintf("u%d", i)})
+		}
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Requests) != len(tr) {
+		t.Fatalf("completed %d of %d", len(res.Requests), len(tr))
+	}
+	if len(res.PerShard) != 2 || res.PerShard[0] == 0 || res.PerShard[1] == 0 {
+		t.Fatalf("users did not spread across both shards: %v", res.PerShard)
+	}
+	if len(s.homes) != 4 {
+		t.Fatalf("%d homes for 4 models: %v", len(s.homes), s.homes)
+	}
+	for n, c := range s.homeCount {
+		if c != 2 {
+			t.Fatalf("node %d homes %d models, want 2", n.id, c)
+		}
 	}
 }
